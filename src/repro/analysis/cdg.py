@@ -60,17 +60,28 @@ class Channel(NamedTuple):
 
     def describe(self, topology: Optional[PortGraph] = None) -> str:
         port = getattr(self.direction, "name", None) or str(self.direction)
-        coordinates_of = getattr(topology, "coordinates_of", None)
-        if coordinates_of is not None:
-            a = coordinates_of(self.src)
-            b = coordinates_of(self.dst)
-            return f"({a.x},{a.y})->({b.x},{b.y}) via {port}"
-        return f"{self.src}->{self.dst} via {port}"
+        return (
+            f"{node_text(topology, self.src)}->{node_text(topology, self.dst)}"
+            f" via {port}"
+        )
 
 
-def _probe_header(src: Any, dst: Any) -> Flit:
-    """A minimal header flit for interrogating a routing function."""
-    return Flit(-1, 0, FlitType.HEAD, src, dst)
+def node_text(topology: Optional[PortGraph], node: Any) -> str:
+    """A node as report text: its coordinates on a topology that has them,
+    every axis included (``(x,y)`` in 2D, ``(x,y,z)`` on a 3D stack), else
+    the bare node id."""
+    coordinates_of = getattr(topology, "coordinates_of", None)
+    if coordinates_of is None:
+        return str(node)
+    return "(" + ",".join(str(v) for v in coordinates_of(node)) + ")"
+
+
+def probe_header(dst: Any) -> Flit:
+    """A minimal header flit for interrogating a routing function about
+    destination ``dst``.  The static-analysis passes route on ``(node,
+    dst)`` (plus the arrival port when port-aware) and never on the source,
+    so one probe serves every query toward ``dst``."""
+    return Flit(-1, 0, FlitType.HEAD, -1, dst)
 
 
 @dataclass
@@ -115,20 +126,17 @@ class ChannelDependencyGraph:
     def _trace_destination(self, routing_fn: RoutingFunction, dst: Any) -> None:
         """Record every dependency reachable by packets destined for ``dst``."""
         topology = self.topology
-        # The candidate out-directions at a node depend only on (node, dst),
+        probe = probe_header(dst)
+        # The candidate out-channels at a node depend only on (node, dst),
         # so one routing-function call per node covers every arrival port.
-        candidates: Dict[Any, List[Any]] = {}
+        candidates: Dict[Any, List[Channel]] = {}
         for node in topology.nodes():
             if node == dst:
                 candidates[node] = []
                 continue
-            dirs = routing_fn.candidates(topology, node, _probe_header(node, dst))
-            candidates[node] = [
-                d
-                for d in dirs
-                if d is not Direction.LOCAL
-                and topology.neighbor(node, d) is not None
-            ]
+            candidates[node] = self._linked(
+                node, routing_fn.candidates(topology, node, probe)
+            )
         # Forward traversal over (held channel) states: a packet injected at
         # any node may first claim any candidate channel there; from a held
         # channel it may request any candidate channel at the downstream
@@ -136,16 +144,14 @@ class ChannelDependencyGraph:
         visited: Set[Channel] = set()
         frontier: List[Channel] = []
         for src in topology.nodes():
-            for direction in candidates[src]:
-                channel = self._channel(src, direction)
+            for channel in candidates[src]:
                 self._edges.setdefault(channel, set())
                 if channel not in visited:
                     visited.add(channel)
                     frontier.append(channel)
         while frontier:
             held = frontier.pop()
-            for direction in candidates[held.dst]:
-                requested = self._channel(held.dst, direction)
+            for requested in candidates[held.dst]:
                 self._edges.setdefault(requested, set())
                 self._edges[held].add(requested)
                 if requested not in visited:
@@ -167,25 +173,22 @@ class ChannelDependencyGraph:
         the tables use and one edge per legal turn.
         """
         topology = self.topology
+        probe = probe_header(dst)
         visited: Set[Channel] = set()
         frontier: List[Channel] = []
 
-        def legal(node: Any, in_port: Any) -> List[Any]:
-            dirs = routing_fn.candidates_from(  # type: ignore[attr-defined]
-                topology, node, in_port, _probe_header(node, dst)
+        def legal(node: Any, in_port: Any) -> List[Channel]:
+            return self._linked(
+                node,
+                routing_fn.candidates_from(  # type: ignore[attr-defined]
+                    topology, node, in_port, probe
+                ),
             )
-            return [
-                d
-                for d in dirs
-                if d is not Direction.LOCAL
-                and topology.neighbor(node, d) is not None
-            ]
 
         for src in topology.nodes():
             if src == dst:
                 continue
-            for direction in legal(src, Direction.LOCAL):
-                channel = self._channel(src, direction)
+            for channel in legal(src, Direction.LOCAL):
                 self._edges.setdefault(channel, set())
                 if channel not in visited:
                     visited.add(channel)
@@ -201,18 +204,24 @@ class ChannelDependencyGraph:
                     f"{held.describe(topology)}; one-way channels cannot "
                     "carry an arrival-port routing constraint"
                 )
-            for direction in legal(held.dst, in_port):
-                requested = self._channel(held.dst, direction)
+            for requested in legal(held.dst, in_port):
                 self._edges.setdefault(requested, set())
                 self._edges[held].add(requested)
                 if requested not in visited:
                     visited.add(requested)
                     frontier.append(requested)
 
-    def _channel(self, node: Any, direction: Any) -> Channel:
-        neighbor = self.topology.neighbor(node, direction)
-        assert neighbor is not None, "candidates were filtered to linked dirs"
-        return Channel(node, neighbor, direction)
+    def _linked(self, node: Any, directions: List[Any]) -> List[Channel]:
+        """The channels leaving ``node`` through the linked, non-LOCAL
+        ports among ``directions``, in candidate order."""
+        out: List[Channel] = []
+        for direction in directions:
+            if direction is Direction.LOCAL:
+                continue
+            neighbor = self.topology.neighbor(node, direction)
+            if neighbor is not None:
+                out.append(Channel(node, neighbor, direction))
+        return out
 
     # -- queries ------------------------------------------------------------
 

@@ -55,9 +55,13 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cdg import CDGVerdict, verify_deadlock_freedom
+from repro.analysis.cdg import (
+    CDGVerdict,
+    node_text,
+    probe_header,
+    verify_deadlock_freedom,
+)
 from repro.config import SimulationConfig
-from repro.noc.flit import Flit
 from repro.noc.routing import (
     FaultAwareRouting,
     RoutingFunction,
@@ -70,7 +74,7 @@ from repro.noc.topology import (
     TorusTopology,
     make_topology,
 )
-from repro.types import Direction, FlitType, RoutingAlgorithm
+from repro.types import Direction, RoutingAlgorithm
 
 #: An ordered (src, dst) pair of node ids.
 Pair = Tuple[Any, Any]
@@ -91,22 +95,9 @@ _SAMPLE_CAP = 12
 STANDARD_SWEEP_SEED = 2006
 
 
-def _probe_header(dst: Any) -> Flit:
-    """A minimal header flit for interrogating a routing function."""
-    return Flit(-1, 0, FlitType.HEAD, -1, dst)
-
-
-def _node_text(topology: PortGraph, node: Any) -> str:
-    coordinates_of = getattr(topology, "coordinates_of", None)
-    if coordinates_of is not None:
-        c = coordinates_of(node)
-        return f"({c.x},{c.y})"
-    return str(node)
-
-
 def _state_text(topology: PortGraph, state: State) -> str:
     node, in_port = state
-    where = _node_text(topology, node)
+    where = node_text(topology, node)
     if in_port is None:
         return where
     port = getattr(in_port, "name", None) or str(in_port)
@@ -114,12 +105,12 @@ def _state_text(topology: PortGraph, state: State) -> str:
 
 
 def _pair_text(topology: PortGraph, pair: Pair) -> str:
-    return f"{_node_text(topology, pair[0])}->{_node_text(topology, pair[1])}"
+    return f"{node_text(topology, pair[0])}->{node_text(topology, pair[1])}"
 
 
 def _chan_text(topology: PortGraph, chan: Chan) -> str:
     port = getattr(chan[1], "name", None) or str(chan[1])
-    return f"{_node_text(topology, chan[0])}:{port.lower()}"
+    return f"{node_text(topology, chan[0])}:{port.lower()}"
 
 
 @dataclass(frozen=True)
@@ -232,12 +223,12 @@ def certify_traversal(
         for state in dst_stuck:
             if len(stuck) < _SAMPLE_CAP:
                 stuck.append(
-                    f"dst {_node_text(topology, dst)}: "
+                    f"dst {node_text(topology, dst)}: "
                     f"{_state_text(topology, state)}"
                 )
         if dst_witness and not witness:
             witness = [_state_text(topology, s) for s in dst_witness]
-            witness.append(f"(cycle; dst {_node_text(topology, dst)})")
+            witness.append(f"(cycle; dst {node_text(topology, dst)})")
         max_route_length = max(max_route_length, dst_height)
 
     for pair in sorted(expected):
@@ -289,7 +280,7 @@ def _certify_destination(
 ) -> Tuple[Set[Any], List[State], List[State], int]:
     """One destination's traversal: (delivering srcs, stuck states,
     livelock witness cycle, max certified route length)."""
-    probe = _probe_header(dst)
+    probe = probe_header(dst)
 
     def successors(state: State) -> Optional[List[State]]:
         """Successor states, or None when the state itself misroutes

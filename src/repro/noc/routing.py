@@ -273,11 +273,15 @@ class FaultAwareRouting:
         dead_link_set = set(dead_links)
         dead_router_set = set(dead_routers)
 
-        # Surviving directed channels.
+        # Surviving directed channels, each with the arrival port it lands
+        # on (looked up once here, not once per destination below).
         alive: Dict[_Chan, Any] = {}
+        arrival: Dict[_Chan, Any] = {}
+        out_channels: Dict[Any, List[_Chan]] = {}
         for u in topology.nodes():
             if u in dead_router_set:
                 continue
+            outs: List[_Chan] = []
             for d in topology.connected_directions(u):
                 v = topology.neighbor(u, d)
                 if v is None or v in dead_router_set:
@@ -285,14 +289,17 @@ class FaultAwareRouting:
                 if (u, d) in dead_link_set:
                     continue
                 alive[(u, d)] = v
+                arrival[(u, d)] = topology.arrival_port(u, d)
+                outs.append((u, d))
+            out_channels[u] = outs
         self._alive_channels = set(alive)
 
         # Levels over the both-alive graph, per component from its min id.
         both_alive: Dict[Any, List[Any]] = {}
-        for (u, d), v in alive.items():
-            back = topology.arrival_port(u, d)
+        for ch, v in alive.items():
+            back = arrival[ch]
             if back is not None and (v, back) in alive:
-                both_alive.setdefault(u, []).append(v)
+                both_alive.setdefault(ch[0], []).append(v)
         level: Dict[Any, int] = {}
         for root in topology.nodes():
             if root in dead_router_set or root in level:
@@ -317,6 +324,26 @@ class FaultAwareRouting:
         arriving: Dict[Any, List[_Chan]] = {}
         for ch, v in alive.items():
             arriving.setdefault(v, []).append(ch)
+        # Turn-legal predecessors of each channel: a down -> up turn is
+        # illegal, so an up channel may only be entered from an up one.
+        legal_preds: Dict[_Chan, List[_Chan]] = {
+            ch: [
+                pc for pc in arriving.get(ch[0], ()) if is_up[pc] or not is_up[ch]
+            ]
+            for ch in alive
+        }
+        # Held channels that key table entries at each node: a one-way
+        # channel has no arrival-port label to key the table by; packets
+        # holding it are re-planned by candidates_from's dead-held-channel
+        # fallback.
+        inbound: Dict[Any, List[Tuple[Any, bool]]] = {
+            u: [
+                (arrival[pc], is_up[pc])
+                for pc in arriving.get(u, ())
+                if arrival[pc] is not None
+            ]
+            for u in out_channels
+        }
 
         table: Dict[Tuple[Any, Any, Any], Any] = {}
         local: Any = Direction.LOCAL
@@ -332,42 +359,32 @@ class FaultAwareRouting:
                 frontier.append(ch)
             while frontier:
                 ch = frontier.popleft()
-                ch_up = is_up[ch]
                 next_dist = dist[ch] + 1
-                for pc in arriving.get(ch[0], ()):
-                    # Forward turn pc -> ch is illegal iff down -> up.
-                    if pc not in dist and not (not is_up[pc] and ch_up):
+                for pc in legal_preds[ch]:
+                    if pc not in dist:
                         dist[pc] = next_dist
                         frontier.append(pc)
 
-            for u in topology.nodes():
-                if u == dst or u in dead_router_set:
+            for u, channels in out_channels.items():
+                if u == dst:
                     continue
                 # Ties broken by port-label order (Direction index on a mesh).
-                outs = [
-                    (dist[(u, d)], d)
-                    for d in topology.connected_directions(u)
-                    if (u, d) in dist
+                options = [
+                    (dist[ch], ch[1], is_up[ch]) for ch in channels if ch in dist
                 ]
-                if not outs:
+                if not options:
                     continue
                 # Injection: no held channel, any output is turn-legal.
-                table[(u, local, dst)] = min(outs)[1]
-                for pc in arriving.get(u, ()):
-                    in_port = topology.arrival_port(pc[0], pc[1])
-                    if in_port is None:
-                        # A one-way channel has no arrival-port label to key
-                        # the table by; packets holding it are re-planned by
-                        # candidates_from's dead-held-channel fallback.
-                        continue
-                    if is_up[pc]:
-                        best = min(outs)
-                    else:
-                        legal = [o for o in outs if not is_up[(u, o[1])]]
-                        if not legal:
-                            continue
-                        best = min(legal)
-                    table[(u, in_port, dst)] = best[1]
+                best = min(options)[1]
+                table[(u, local, dst)] = best
+                # Holding a down channel, only down outputs are legal.
+                down = [o for o in options if not o[2]]
+                best_down = min(down)[1] if down else None
+                for in_port, held_up in inbound[u]:
+                    if held_up:
+                        table[(u, in_port, dst)] = best
+                    elif best_down is not None:
+                        table[(u, in_port, dst)] = best_down
 
         self._table = table
         self.version += 1

@@ -110,6 +110,13 @@ def _normalize_latency(spec: LatencySpec, ndim: int) -> Tuple[int, ...]:
     return latencies
 
 
+#: The attributes :meth:`MeshTopology._build_tables` derives; they are
+#: rebuilt on unpickling rather than pickled.
+_TABLES = frozenset(
+    ("_num_nodes", "_coords", "_neighbors", "_arrivals", "_connected")
+)
+
+
 class MeshTopology:
     """A ``width`` x ``height`` (x ``depth``) mesh.
 
@@ -120,6 +127,15 @@ class MeshTopology:
 
     ``link_latency`` is cycles per hop, either uniform (int) or per axis
     (tuple) — the TSV model makes vertical hops slower than planar ones.
+
+    A topology is immutable.  Its structural tables — per-node
+    coordinates, the neighbor and arrival port behind every ``(node,
+    port)``, and the linked directions of every node — are built
+    once at construction by arithmetic, and every structural query is a
+    lookup into them.  Dead links are not a topology property: routing
+    (:class:`~repro.noc.routing.FaultAwareRouting`) and the network track
+    them.  Subclasses change only :meth:`_step` (how a hop moves along an
+    axis); the tables and every query follow from it.
     """
 
     def __init__(
@@ -141,6 +157,63 @@ class MeshTopology:
         if self.ndim == 3:
             dirs += (Direction.UP, Direction.DOWN)
         self._directions = dirs
+        self._build_tables()
+
+    def _step(self, axis: int, position: int) -> Optional[int]:
+        """The ``axis`` coordinate one hop lands on when it would reach
+        ``position``, or None when that hop leaves the topology."""
+        return position if 0 <= position < self.shape[axis] else None
+
+    def _build_tables(self) -> None:
+        """Fill the structural tables in O(nodes x ports)."""
+        dirs = self._directions
+        self._num_nodes = self.num_nodes
+        strides = []
+        stride = 1
+        for extent in self.shape:
+            strides.append(stride)
+            stride *= extent
+        ports = len(Direction)
+        coords: List[Coordinate] = []
+        neighbors: List[List[Optional[int]]] = []
+        arrivals: List[List[Optional[Direction]]] = []
+        connected: List[Tuple[Direction, ...]] = []
+        for node in range(self._num_nodes):
+            rest = node
+            position = []
+            for extent in self.shape:
+                position.append(rest % extent)
+                rest //= extent
+            coord = Coordinate(*position)
+            row: List[Optional[int]] = [None] * ports
+            back: List[Optional[Direction]] = [None] * ports
+            for d in dirs:
+                axis = d.axis
+                landed = self._step(axis, coord[axis] + d.sign)
+                if landed is not None:
+                    row[d] = node + (landed - coord[axis]) * strides[axis]
+                    back[d] = d.opposite
+            coords.append(coord)
+            neighbors.append(row)
+            arrivals.append(back)
+            connected.append(tuple(d for d in dirs if row[d] is not None))
+        self._coords = coords
+        self._neighbors = neighbors
+        self._arrivals = arrivals
+        self._connected = connected
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The tables are derived: a Simulator checkpoint pickles the
+        # topology and would otherwise carry them on every write.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in _TABLES
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._build_tables()
 
     @property
     def ndim(self) -> int:
@@ -179,11 +252,7 @@ class MeshTopology:
 
     def coordinates_of(self, node: int) -> Coordinate:
         self._check_node(node)
-        coords = []
-        for extent in self.shape:
-            coords.append(node % extent)
-            node //= extent
-        return Coordinate(*coords)
+        return self._coords[node]
 
     def node_at(self, coord: Coordinate) -> int:
         if not self.contains(coord):
@@ -207,26 +276,26 @@ class MeshTopology:
         LOCAL has no neighbor router (it connects to the PE), and axes the
         topology does not have (UP/DOWN on a 2D mesh) have no neighbor.
         """
-        if direction is Direction.LOCAL or direction.axis >= self.ndim:
-            return None
-        coord = self.coordinates_of(node) + direction.delta
-        return self.node_at(coord) if self.contains(coord) else None
+        self._check_node(node)
+        return self._neighbors[node][direction]
 
     def connected_directions(self, node: int) -> List[Direction]:
         """Inter-router directions that have a link at ``node``."""
-        return [d for d in self._directions if self.neighbor(node, d) is not None]
+        self._check_node(node)
+        return list(self._connected[node])
 
     def edge_directions(self, node: int) -> List[Direction]:
         """Directions that fall off the mesh at ``node`` (no link)."""
-        return [d for d in self._directions if self.neighbor(node, d) is None]
+        self._check_node(node)
+        row = self._neighbors[node]
+        return [d for d in self._directions if row[d] is None]
 
     def arrival_port(self, node: int, direction: Direction) -> Optional[Direction]:
         """The port a flit sent from ``node`` via ``direction`` arrives on
         at the downstream router.  Mesh links come in bidirectional pairs,
         so this is simply the opposite direction (None off the edge)."""
-        if direction is Direction.LOCAL or self.neighbor(node, direction) is None:
-            return None
-        return direction.opposite
+        self._check_node(node)
+        return self._arrivals[node][direction]
 
     def link_latency(self, node: int, direction: Direction) -> int:
         """Cycles one flit spends traversing the ``(node, direction)``
@@ -244,7 +313,7 @@ class MeshTopology:
         return self.coordinates_of(a).manhattan_distance(self.coordinates_of(b))
 
     def nodes(self) -> Iterator[int]:
-        return iter(range(self.num_nodes))
+        return iter(range(self._num_nodes))
 
     def minimal_directions(self, src: int, dst: int) -> List[Direction]:
         """All directions that reduce the distance to ``dst`` from ``src``,
@@ -277,8 +346,8 @@ class MeshTopology:
         return total / pairs if pairs else 0.0
 
     def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} outside 0..{self.num_nodes - 1}")
+        if not 0 <= node < self._num_nodes:
+            raise ValueError(f"node {node} outside 0..{self._num_nodes - 1}")
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)
@@ -288,14 +357,8 @@ class MeshTopology:
 class TorusTopology(MeshTopology):
     """A torus: the mesh with wraparound links on every axis."""
 
-    def neighbor(self, node: int, direction: Direction) -> Optional[int]:
-        if direction is Direction.LOCAL or direction.axis >= self.ndim:
-            return None
-        coord = self.coordinates_of(node) + direction.delta
-        wrapped = Coordinate(
-            *(coord[axis] % self.shape[axis] for axis in range(self.ndim))
-        )
-        return self.node_at(wrapped)
+    def _step(self, axis: int, position: int) -> Optional[int]:
+        return position % self.shape[axis]
 
     def distance(self, a: int, b: int) -> int:
         ca, cb = self.coordinates_of(a), self.coordinates_of(b)

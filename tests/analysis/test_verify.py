@@ -356,37 +356,41 @@ class TestConfigCertification:
         assert json.loads(json.dumps(entry)) == entry
 
 
+@pytest.fixture(scope="module")
+def standard_certificate():
+    """One build of the standard artifact, shared by the artifact tests
+    (none of them mutates it)."""
+    return build_standard_certificate()
+
+
 class TestStandardArtifact:
-    def test_build_is_deterministic(self):
-        a = build_standard_certificate()
+    def test_build_is_deterministic(self, standard_certificate):
+        a = standard_certificate
         b = build_standard_certificate()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_committed_artifact_is_current(self):
+    def test_committed_artifact_is_current(self, standard_certificate):
         """The CI gate, as a test: CERT_routing.json must be regenerable."""
         artifact = REPO_ROOT / "CERT_routing.json"
         assert artifact.exists(), "CERT_routing.json is not committed"
         committed = json.loads(artifact.read_text())
-        assert committed == build_standard_certificate()
+        assert committed == standard_certificate
 
-    def test_expectations_hold(self):
-        certificate = build_standard_certificate()
+    def test_expectations_hold(self, standard_certificate):
         problems = []
-        for entry in certificate["targets"]:
+        for entry in standard_certificate["targets"]:
             problems.extend(check_expectations(entry, entry["expect"]))
         assert problems == []
 
-    def test_expectation_mismatch_is_reported(self):
-        certificate = build_standard_certificate()
-        entry = certificate["targets"][0]
+    def test_expectation_mismatch_is_reported(self, standard_certificate):
+        entry = standard_certificate["targets"][0]
         problems = check_expectations(entry, {"certified": False})
         assert len(problems) == 1
         assert "expected certified=False" in problems[0]
 
-    def test_torus_target_pins_the_witness(self):
-        certificate = build_standard_certificate()
+    def test_torus_target_pins_the_witness(self, standard_certificate):
         torus = [
-            t for t in certificate["targets"] if t["name"] == "torus5x5_xy"
+            t for t in standard_certificate["targets"] if t["name"] == "torus5x5_xy"
         ][0]
         assert not torus["routing"]["certified"]
         assert not torus["routing"]["deadlock_free"]

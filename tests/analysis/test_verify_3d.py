@@ -1,19 +1,28 @@
 """Static certification of the 3D stack: dimension-ordered routing must
-certify deadlock-free on a 3x3x3 mesh, and the fault-aware rebuild must
-survive every possible single-link kill (TSVs included)."""
+certify deadlock-free on a 3x3x3 mesh, the fault-aware rebuild must
+survive every possible single-link kill (TSVs included), and failure
+texts must name every axis so nodes on different layers read apart."""
+
+import re
 
 import pytest
 
+from repro.analysis.cdg import Channel, node_text, verify_deadlock_freedom
 from repro.analysis.verify import (
     STANDARD_TARGETS,
     certify_config,
     certify_fault_trial,
+    certify_traversal,
     directed_channels,
     sweep_single_link_kills,
     topology_of,
 )
 from repro.config import NoCConfig, SimulationConfig
+from repro.noc.routing import TorusXYRouting
+from repro.noc.topology import Mesh3D, MeshTopology, Torus3D
 from repro.types import Direction, RoutingAlgorithm
+
+_NODE_3D = r"\(\d+,\d+,\d+\)"
 
 
 def _config3d(**noc_kw) -> SimulationConfig:
@@ -83,3 +92,43 @@ class TestStandardTargetPin:
         target = next(t for t in STANDARD_TARGETS if t["name"] == "mesh3x3x3_dor")
         assert target["expect"]["certified"] is True
         assert target["expect"]["single_link_kills_certified"] is True
+
+
+class StrandingRouting:
+    """Routes nothing anywhere: every non-destination state is stuck."""
+
+    cacheable = True
+
+    def candidates(self, topology, current, flit):
+        return [Direction.LOCAL] if current == flit.dst else []
+
+
+class TestFailureText3D:
+    def test_node_text_renders_every_axis(self):
+        stack = Mesh3D(2, 2, 2)
+        # Nodes 0 and 4 share (x, y) and differ only in z.
+        assert node_text(stack, 0) == "(0,0,0)"
+        assert node_text(stack, 4) == "(0,0,1)"
+        assert node_text(MeshTopology(shape=(3, 2)), 4) == "(1,1)"
+        channel = Channel(0, 4, Direction.UP)
+        assert channel.describe(stack) == "(0,0,0)->(0,0,1) via UP"
+
+    def test_missing_pairs_and_stuck_states_name_the_layer(self):
+        stack = Mesh3D(2, 2, 2)
+        verdict = certify_traversal(stack, StrandingRouting())
+        assert not verdict.connected
+        assert verdict.missing_pairs
+        for text in verdict.missing_pairs:
+            assert re.fullmatch(f"{_NODE_3D}->{_NODE_3D}", text), text
+        # Pairs from the same (x, y) column on different layers must not
+        # collapse into one text.
+        assert len(set(verdict.missing_pairs)) == len(verdict.missing_pairs)
+        assert "(0,0,0)->(0,0,1)" in verdict.missing_pairs
+        for text in verdict.stuck_states:
+            assert re.fullmatch(f"dst {_NODE_3D}: {_NODE_3D}", text), text
+
+    def test_torus_witness_names_the_layer(self):
+        verdict = verify_deadlock_freedom(Torus3D(4, 4, 4), TorusXYRouting())
+        assert not verdict.deadlock_free
+        for text in verdict.witness_text:
+            assert re.fullmatch(f"{_NODE_3D}->{_NODE_3D} via [A-Z]+", text), text
