@@ -538,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
             "{'base': CONFIG, 'axes': {'dotted.path': [values, ...]}} "
             "(cartesian grid) or {'variants': [{'name': ..., 'config': "
             "CONFIG}, ...]} — under the supervised campaign service: "
-            "watchdogged worker processes, exponential-backoff retries, an "
+            "watchdogged worker processes (in-process attempts when "
+            "--processes is 1 with no --timeout or --deadline), "
+            "exponential-backoff retries, an "
             "optional whole-campaign deadline, a durable journal and a "
             "content-addressed result cache (docs/CAMPAIGNS.md).  With "
             "--dir the campaign survives a supervisor crash: "
@@ -1285,20 +1287,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
+    # Unset flags stay out, so the engine's defaults (or, on --resume,
+    # the settings the journal header recorded) apply.
+    settings = dict(
+        processes=args.processes,
+        retries=args.retries,
+        timeout=args.timeout,
+        deadline=args.deadline,
+        deadline_grace=args.grace,
+        checkpoint_interval=args.checkpoint_interval,
+        backoff=backoff,
+    )
+    settings = {k: v for k, v in settings.items() if v is not None}
     try:
         if args.resume:
             rows, stats = resume_campaign(
                 os.path.join(args.resume, "journal.jsonl"),
-                processes=args.processes,
-                retries=args.retries,
-                timeout=args.timeout,
-                deadline=args.deadline,
-                deadline_grace=args.grace,
-                checkpoint_interval=args.checkpoint_interval,
-                backoff=backoff,
                 cache_dir=args.cache_dir,
                 no_cache=args.no_cache,
                 cache_verify=True if args.cache_verify else None,
+                **settings,
             )
         else:
             try:
@@ -1322,43 +1330,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 cache_dir = os.path.abspath(args.cache_dir)
             if args.no_cache:
                 cache_dir = None
-            processes = args.processes if args.processes is not None else 1
-            retries = args.retries if args.retries is not None else 0
-            grace = args.grace if args.grace is not None else 2.0
-            interval = (
-                args.checkpoint_interval
-                if args.checkpoint_interval is not None
-                else 500
-            )
-            meta: Dict[str, Any] = {
-                "processes": processes,
-                "retries": retries,
-                "timeout": args.timeout,
-                "deadline": args.deadline,
-                "deadline_grace": grace,
-                "checkpoint_dir": checkpoint_dir,
-                "checkpoint_interval": interval,
-                "cache_dir": cache_dir,
-                "cache_verify": args.cache_verify,
-            }
-            if backoff is not None:
-                meta["backoff"] = backoff.to_dict()
             rows, stats = run_campaign(
                 variants,
-                processes=processes,
                 lint=not args.no_lint,
-                retries=retries,
-                timeout=args.timeout,
-                deadline=args.deadline,
-                deadline_grace=grace,
                 checkpoint_dir=checkpoint_dir,
-                checkpoint_interval=interval,
-                backoff=backoff,
                 journal_path=journal_path,
-                journal_meta=meta,
                 cache_dir=cache_dir,
                 cache_verify=args.cache_verify,
                 return_stats=True,
+                **settings,
             )
     except CampaignLintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """The campaign service layer: durable, cache-aware fleet execution.
 
-``repro.service`` turns :func:`repro.campaign.run_campaign`'s supervised
-worker pool into a long-lived, crash-survivable execution service (ROADMAP
-item 2(b)).  Four pieces compose (docs/CAMPAIGNS.md is the reference):
+``repro.service`` is the one engine behind
+:func:`repro.campaign.run_campaign`, ``repro campaign`` and
+:func:`resume_campaign`: a long-lived, crash-survivable execution service
+(ROADMAP item 2(b)).  Four pieces compose (docs/CAMPAIGNS.md is the
+reference):
 
 * :mod:`repro.service.journal` — an append-only JSONL journal
   (``CAMPAIGN-JOURNAL`` header, atomic fsynced appends) recording every
@@ -15,8 +17,8 @@ item 2(b)).  Four pieces compose (docs/CAMPAIGNS.md is the reference):
   ``repro/v1`` envelopes keyed by the SHA-256 of the variant's canonical
   config JSON, so duplicate variants within and across campaigns are
   served from cache instead of re-simulated.
-* :mod:`repro.service.runner` — the supervisor itself: watchdogged worker
-  processes, backoff-scheduled retries, a whole-campaign deadline with
+* :mod:`repro.service.runner` — the supervisor itself: in-process attempts
+  or watchdogged worker processes, backoff-scheduled retries, a whole-campaign deadline with
   graceful degradation, checkpoint-resume on retry (corrupt checkpoints
   are discarded, not fatal), journal and cache integration.
 

@@ -1,8 +1,7 @@
 """Retry backoff policy: exponential growth, deterministic seeded jitter.
 
-The legacy supervised runner re-launched a failed attempt immediately,
-which turns an environmental flake (an OOM-killed worker, a saturated
-machine) into a tight crash loop.  :class:`RetryPolicy` spaces attempts
+Re-launching a failed attempt immediately turns an environmental flake
+(an OOM-killed worker, a saturated machine) into a tight crash loop.  :class:`RetryPolicy` spaces attempts
 out exponentially and adds *deterministic* jitter: the jitter fraction is
 derived from a SHA-256 of ``(seed, variant, attempt)``, so two supervisors
 replaying the same campaign schedule identical delays — no process-global
@@ -29,8 +28,8 @@ class RetryPolicy:
         base * factor**(attempt-1), capped at ``maximum``,
         then scaled by 1 + jitter * u   with u in [0, 1) deterministic.
 
-    ``RetryPolicy.none()`` disables backoff entirely (the legacy
-    immediate-retry behaviour, used by tests that count wall-clock).
+    ``RetryPolicy.none()`` disables backoff entirely (immediate retries,
+    for tests that count wall-clock).
     """
 
     base: float = 0.05

@@ -1,8 +1,9 @@
-"""The durable campaign supervisor.
+"""The durable campaign supervisor — the one campaign engine.
 
 Builds the fleet-scale execution loop on top of the primitives next door:
+attempts run in-process when nothing needs a watchdog, otherwise in
 watchdogged worker processes (one per attempt, SIGKILL on wall-clock
-overrun), retry scheduling through :class:`~repro.service.policy.RetryPolicy`
+overrun); retry scheduling through :class:`~repro.service.policy.RetryPolicy`
 backoff, the :mod:`~repro.service.journal` for durability across a
 supervisor SIGKILL, the :mod:`~repro.service.cache` for content-addressed
 result reuse, and a whole-campaign deadline with graceful degradation.
@@ -39,19 +40,48 @@ from repro.service.policy import RetryPolicy
 __all__ = ["CampaignOutcome", "resume_campaign", "run_service_campaign"]
 
 
-def _worker(
+def _ok_row(name: str, config_dict: Dict[str, Any], result: Any) -> Dict[str, Any]:
+    return {
+        "name": name,
+        "config": config_dict,
+        "avg_latency": result.avg_latency,
+        "avg_hops": result.avg_hops,
+        "energy_per_packet_nj": result.energy_per_packet_nj,
+        "throughput": result.throughput_flits_per_node_cycle,
+        "packets_delivered": result.packets_delivered,
+        "packets_lost": result.packets_lost,
+        "counters": dict(result.counters),
+        "error": None,
+    }
+
+
+def _failed_row(name: str, config_dict: Dict[str, Any], error: str) -> Dict[str, Any]:
+    return {
+        "name": name,
+        "config": config_dict,
+        "avg_latency": 0.0,
+        "avg_hops": 0.0,
+        "energy_per_packet_nj": 0.0,
+        "throughput": 0.0,
+        "packets_delivered": 0,
+        "packets_lost": 0,
+        "counters": {},
+        "error": error,
+        "resumed_from_cycle": None,
+    }
+
+
+def _attempt(
     name: str,
     config_dict: Dict[str, Any],
     ckpt_path: Optional[str],
     ckpt_interval: int,
-    result_path: str,
-) -> None:
-    """Child-process entry point for one attempt.
+) -> Dict[str, Any]:
+    """Run one attempt of a variant and return its row; never raises.
 
-    Communicates through an atomically-written JSON result file rather
-    than a pipe/queue, so a SIGKILL from the watchdog (or the OOM killer)
-    can never leave the supervisor holding a half-readable message: either
-    the file exists and is complete, or the attempt is treated as crashed.
+    Any exception — a config the constructors reject, an invariant
+    violation, a bug tickled by one parameter corner — becomes a failed
+    row, so one bad variant cannot take the campaign down.
 
     Resumes from ``ckpt_path`` when a previous attempt left one behind; a
     checkpoint that turns out corrupt or truncated is *discarded* — the
@@ -59,7 +89,6 @@ def _worker(
     ``row["checkpoint_discarded"]`` — instead of failing the variant on an
     artifact of its own crash.
     """
-    from repro.campaign import _failed_row, _ok_row
     from repro.noc.simulator import Simulator
     from repro.serialization import config_from_dict
 
@@ -87,13 +116,30 @@ def _worker(
                     checkpoint_path=ckpt_path,
                 )
             sim = Simulator(config)
-        result = sim.run()
-        row = _ok_row(name, config_dict, result)
+        row = _ok_row(name, config_dict, sim.run())
     except Exception as exc:  # noqa: BLE001 — the row carries the error
         row = _failed_row(name, config_dict, f"{type(exc).__name__}: {exc}")
     row["resumed_from_cycle"] = resumed
     if discarded is not None:
         row["checkpoint_discarded"] = discarded
+    return row
+
+
+def _worker(
+    name: str,
+    config_dict: Dict[str, Any],
+    ckpt_path: Optional[str],
+    ckpt_interval: int,
+    result_path: str,
+) -> None:
+    """Child-process entry point: one :func:`_attempt` under a watchdog.
+
+    Communicates through an atomically-written JSON result file rather
+    than a pipe/queue, so a SIGKILL from the watchdog (or the OOM killer)
+    can never leave the supervisor holding a half-readable message: either
+    the file exists and is complete, or the attempt is treated as crashed.
+    """
+    row = _attempt(name, config_dict, ckpt_path, ckpt_interval)
     tmp = f"{result_path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         json.dump(row, fh)
@@ -139,6 +185,14 @@ class CampaignOutcome:
     stats: Dict[str, Any] = field(default_factory=dict)
 
 
+#: Header keys :func:`run_service_campaign` records and
+#: :func:`resume_campaign` reads back (plus ``backoff``).
+_SETTINGS = (
+    "processes", "retries", "timeout", "deadline", "deadline_grace",
+    "checkpoint_dir", "checkpoint_interval", "cache_dir", "cache_verify",
+)
+
+
 def run_service_campaign(
     items: Sequence[Tuple[str, Dict[str, Any]]],
     *,
@@ -151,25 +205,39 @@ def run_service_campaign(
     checkpoint_interval: int = 500,
     backoff: Optional[RetryPolicy] = None,
     journal_path: Optional[str] = None,
-    journal_meta: Optional[Dict[str, Any]] = None,
     cache_dir: Optional[str] = None,
     cache_verify: bool = False,
     resume_state: Optional[JournalState] = None,
 ) -> CampaignOutcome:
     """Run ``(name, config_dict)`` variants under full supervision.
 
-    This is the low-level engine behind :func:`repro.campaign.run_campaign`
-    (which adds linting and typed rows) and ``repro campaign``.  Configs
-    travel as serialized dicts for picklability.  See docs/CAMPAIGNS.md
-    for the state machine and failure semantics.
+    This is the one engine behind :func:`repro.campaign.run_campaign`
+    (which adds linting and typed rows), :func:`resume_campaign` and
+    ``repro campaign``.  Configs travel as serialized dicts for
+    picklability.  Attempts run in-process when nothing needs a watchdog
+    (``processes == 1`` with no ``timeout`` or ``deadline``) and in
+    forked worker processes otherwise.  A new journal's header records
+    the effective settings, so a resume continues under them.  See
+    docs/CAMPAIGNS.md for the state machine and failure semantics.
     """
     import multiprocessing
     from multiprocessing.connection import wait as sentinel_wait
 
+    if processes < 1:
+        raise ValueError("processes must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive (seconds)")
+    if deadline is not None and deadline <= 0:
+        raise ValueError("deadline must be positive (seconds)")
+    if checkpoint_interval < 1:
+        raise ValueError("checkpoint_interval must be >= 1 cycle")
     policy = backoff if backoff is not None else RetryPolicy()
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
+    in_process = processes == 1 and timeout is None and deadline is None
 
     stats: Dict[str, Any] = {
         "variants": len(items),
@@ -198,9 +266,22 @@ def run_service_campaign(
             # can detect a journal whose enqueue phase was cut short (a
             # supervisor crash mid-enqueue commits only a prefix of the
             # queued records).
-            header = dict(journal_meta or {})
-            header.setdefault("variants", len(items))
-            journal = CampaignJournal.create(journal_path, header)
+            journal = CampaignJournal.create(
+                journal_path,
+                {
+                    "variants": len(items),
+                    "processes": processes,
+                    "retries": retries,
+                    "timeout": timeout,
+                    "deadline": deadline,
+                    "deadline_grace": deadline_grace,
+                    "checkpoint_dir": checkpoint_dir and os.path.abspath(checkpoint_dir),
+                    "checkpoint_interval": checkpoint_interval,
+                    "cache_dir": cache_dir and os.path.abspath(cache_dir),
+                    "cache_verify": cache_verify,
+                    "backoff": policy.to_dict(),
+                },
+            )
 
     def record(type_: str, **fields: Any) -> None:
         if journal is not None:
@@ -339,7 +420,7 @@ def run_service_campaign(
                 )
 
         def complete_attempt(job: _Job, row: Dict[str, Any]) -> None:
-            """A worker produced a result file — success or failure."""
+            """An attempt produced a row — success or failure."""
             if row["error"] is not None:
                 attempt_failed(job, row)
                 return
@@ -372,19 +453,9 @@ def run_service_campaign(
                 with open(job.result_path) as fh:
                     complete_attempt(job, json.load(fh))
             else:
-                from repro.campaign import _failed_row
-
+                error = f"worker died without a result (exit code {proc.exitcode})"
                 attempt_failed(
-                    job,
-                    dict(
-                        _failed_row(
-                            job.name,
-                            job.config_dict,
-                            f"worker died without a result "
-                            f"(exit code {proc.exitcode})",
-                        ),
-                        resumed_from_cycle=None,
-                    ),
+                    job, _failed_row(job.name, job.config_dict, error)
                 )
 
         deadline_expired = False
@@ -417,9 +488,23 @@ def run_service_campaign(
                         continue
                 job.attempts += 1
                 stats["attempts"] += 1
+                depth = len(ready) + len(running) + 1  # + this attempt
+                if depth > stats["max_queue_depth"]:
+                    stats["max_queue_depth"] = depth
+                record("leased", variant=job.index, attempt=job.attempts)
+                if in_process:
+                    complete_attempt(
+                        job,
+                        _attempt(
+                            job.name,
+                            job.config_dict,
+                            job.ckpt_path,
+                            checkpoint_interval,
+                        ),
+                    )
+                    continue
                 if os.path.exists(job.result_path):
                     os.unlink(job.result_path)
-                record("leased", variant=job.index, attempt=job.attempts)
                 proc = multiprocessing.Process(
                     target=_worker,
                     args=(
@@ -438,9 +523,6 @@ def run_service_campaign(
                     else None
                 )
                 running.append((job, proc, kill_at))
-            depth = len(ready) + len(running)
-            if depth > stats["max_queue_depth"]:
-                stats["max_queue_depth"] = depth
             # Sleep until the nearest edge: a worker exiting (its sentinel
             # wakes us immediately), a watchdog expiry, a backoff-delayed
             # job coming ready, or the campaign deadline.
@@ -470,16 +552,9 @@ def run_service_campaign(
                     if kill_at is not None and now >= kill_at:
                         proc.kill()
                         proc.join()
-                        from repro.campaign import _failed_row
-
                         attempt_failed(
                             job,
-                            dict(
-                                _failed_row(
-                                    job.name, job.config_dict, "timeout"
-                                ),
-                                resumed_from_cycle=None,
-                            ),
+                            _failed_row(job.name, job.config_dict, "timeout"),
                         )
                     else:
                         still_running.append((job, proc, kill_at))
@@ -513,8 +588,6 @@ def run_service_campaign(
                     else:
                         reap(job, proc)
                 running = still_running
-            from repro.campaign import _failed_row
-
             for job, proc, _ in running:
                 proc.kill()
                 proc.join()
@@ -527,12 +600,7 @@ def run_service_campaign(
                 stats["deadline_failed"] += 1
                 finish(
                     job,
-                    dict(
-                        _failed_row(
-                            job.name, job.config_dict, "campaign_deadline"
-                        ),
-                        resumed_from_cycle=None,
-                    ),
+                    _failed_row(job.name, job.config_dict, "campaign_deadline"),
                     "failed",
                 )
             while ready:
@@ -543,12 +611,7 @@ def run_service_campaign(
                 stats["deadline_failed"] += 1
                 finish(
                     job,
-                    dict(
-                        _failed_row(
-                            job.name, job.config_dict, "campaign_deadline"
-                        ),
-                        resumed_from_cycle=None,
-                    ),
+                    _failed_row(job.name, job.config_dict, "campaign_deadline"),
                     "failed",
                 )
 
@@ -580,10 +643,11 @@ def resume_campaign(
     Replays the journal, re-enqueues only variants without a terminal
     record (completed variants keep their recorded rows and are never
     re-run), and continues under the same settings the journal's header
-    recorded — any keyword given here overrides the recorded value, and
-    ``no_cache=True`` disables the result cache even when the header
-    recorded a ``cache_dir``.  Returns ``(rows, stats)`` with rows as
-    typed :class:`~repro.campaign.CampaignRow` in the original queue
+    recorded — any keyword given here overrides the recorded value, a
+    setting the header lacks takes :func:`run_service_campaign`'s
+    default, and ``no_cache=True`` disables the result cache even when the
+    header recorded a ``cache_dir``.  Returns ``(rows, stats)`` with rows
+    as typed :class:`~repro.campaign.CampaignRow` in the original queue
     order.
 
     Raises :class:`JournalError` when the journal holds fewer ``queued``
@@ -605,31 +669,22 @@ def resume_campaign(
             "cannot be resumed; restart the campaign from its spec"
         )
 
-    def setting(override: Any, key: str, default: Any) -> Any:
-        if override is not None:
-            return override
-        value = meta.get(key)
-        return default if value is None else value
-
-    recorded_backoff = meta.get("backoff")
-    if backoff is None and recorded_backoff is not None:
-        backoff = RetryPolicy.from_dict(recorded_backoff)
+    settings: Dict[str, Any] = {
+        key: meta[key] for key in _SETTINGS if meta.get(key) is not None
+    }
+    if meta.get("backoff") is not None:
+        settings["backoff"] = RetryPolicy.from_dict(meta["backoff"])
+    overrides = dict(
+        processes=processes, retries=retries, timeout=timeout,
+        deadline=deadline, deadline_grace=deadline_grace,
+        checkpoint_dir=checkpoint_dir, checkpoint_interval=checkpoint_interval,
+        backoff=backoff, cache_dir=cache_dir, cache_verify=cache_verify,
+    )
+    settings.update((k, v) for k, v in overrides.items() if v is not None)
+    if no_cache:
+        settings.pop("cache_dir", None)
     items = [(v["name"], v["config"]) for v in state.variants]
     outcome = run_service_campaign(
-        items,
-        processes=setting(processes, "processes", 1),
-        retries=setting(retries, "retries", 0),
-        timeout=setting(timeout, "timeout", None),
-        deadline=setting(deadline, "deadline", None),
-        deadline_grace=setting(deadline_grace, "deadline_grace", 2.0),
-        checkpoint_dir=setting(checkpoint_dir, "checkpoint_dir", None),
-        checkpoint_interval=setting(
-            checkpoint_interval, "checkpoint_interval", 500
-        ),
-        backoff=backoff,
-        journal_path=journal_path,
-        cache_dir=None if no_cache else setting(cache_dir, "cache_dir", None),
-        cache_verify=bool(setting(cache_verify, "cache_verify", False)),
-        resume_state=state,
+        items, journal_path=journal_path, resume_state=state, **settings
     )
     return rows_from_raw(outcome.rows), outcome.stats

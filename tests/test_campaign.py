@@ -61,6 +61,8 @@ class TestRunCampaign:
         assert rows[1].avg_latency > rows[0].avg_latency
 
     def test_parallel_matches_serial(self):
+        """processes=1 runs attempts in-process, processes=2 in forked
+        workers; the results must not depend on where they ran."""
         variants = grid(
             axes={"noc.link_protection": ["hbh", "none"]},
             base=tiny_base(),

@@ -1,4 +1,5 @@
-"""The supervised campaign runner: timeouts, crash isolation, resume.
+"""The campaign engine: in-process and worker attempts, timeouts, crash
+isolation, resume.
 
 These tests use real worker processes (the supervisor's whole point is
 that SIGKILL-level failures cannot wedge it), so hang detection is
@@ -12,7 +13,7 @@ import time
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import campaign_row_to_dict, run_campaign
 from repro.checkpoint import save_checkpoint
 from repro.config import NoCConfig, SimulationConfig, WorkloadConfig
 from repro.noc.simulator import Simulator
@@ -57,13 +58,19 @@ def _crashing():
 class TestSupervisedBasics:
     def test_clean_run_matches_in_process_runner(self):
         config = _small()
-        [legacy] = run_campaign([("v", config)])
-        [supervised] = run_campaign([("v", config)], timeout=120.0)
-        assert supervised.error is None
-        assert supervised.avg_latency == legacy.avg_latency
-        assert supervised.counters == legacy.counters
-        assert supervised.metadata["attempts"] == 1
-        assert supervised.metadata["resumed_from_cycle"] is None
+        [in_process] = run_campaign([("v", config)])
+        [worker] = run_campaign([("v", config)], timeout=120.0)
+        assert worker.error is None
+        assert worker.avg_latency == in_process.avg_latency
+        assert worker.counters == in_process.counters
+        assert worker.metadata["attempts"] == 1
+        assert worker.metadata["resumed_from_cycle"] is None
+
+    def test_row_dict_same_in_process_and_in_worker(self):
+        config = _small()
+        [in_process] = run_campaign([("v", config)])
+        [worker] = run_campaign([("v", config)], processes=2)
+        assert campaign_row_to_dict(worker) == campaign_row_to_dict(in_process)
 
     def test_crashing_variant_isolated(self):
         rows = run_campaign(
@@ -85,6 +92,48 @@ class TestSupervisedBasics:
             run_campaign(
                 [("v", _small())], checkpoint_dir="x", checkpoint_interval=0
             )
+
+
+class TestAttemptPlacement:
+    """Attempts run in-process unless a watchdog or parallelism needs a
+    worker process; the caller never chooses."""
+
+    def test_in_process_when_nothing_needs_a_watchdog(
+        self, monkeypatch, tmp_path
+    ):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        [row] = run_campaign(
+            [("v", _small())],
+            retries=1,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            journal_path=str(tmp_path / "journal.jsonl"),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        assert row.error is None
+        assert row.metadata["attempts"] == 1
+
+    @pytest.mark.parametrize(
+        "settings", [{"timeout": 120.0}, {"deadline": 120.0}, {"processes": 2}]
+    )
+    def test_worker_when_watchdog_or_parallel(self, monkeypatch, settings):
+        import multiprocessing
+
+        started = []
+
+        class Spy(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", Spy)
+        [row] = run_campaign([("v", _small())], **settings)
+        assert row.error is None
+        assert len(started) == 1
 
 
 class TestTimeout:
@@ -198,14 +247,14 @@ class TestLegacyRetriesFix:
 
 
 class TestAttemptErrors:
-    def test_failed_attempts_recorded_in_order_legacy(self):
+    def test_failed_attempts_recorded_in_order_in_process(self):
         [row] = run_campaign([("bad", _crashing())], retries=2, lint=False)
         errors = row.metadata["attempt_errors"]
         assert len(errors) == 3
         assert all("no_such_pattern" in e for e in errors)
         assert row.error == errors[-1]
 
-    def test_failed_attempts_recorded_in_order_supervised(self):
+    def test_failed_attempts_recorded_in_order_in_worker(self):
         [row] = run_campaign(
             [("bad", _crashing())], retries=2, timeout=120.0, lint=False
         )
@@ -215,10 +264,10 @@ class TestAttemptErrors:
         assert row.error == errors[-1]
 
     def test_clean_rows_omit_the_key(self):
-        [legacy] = run_campaign([("v", _small())], retries=3)
-        [supervised] = run_campaign([("v", _small())], timeout=120.0)
-        assert "attempt_errors" not in legacy.metadata
-        assert "attempt_errors" not in supervised.metadata
+        [in_process] = run_campaign([("v", _small())], retries=3)
+        [worker] = run_campaign([("v", _small())], timeout=120.0)
+        assert "attempt_errors" not in in_process.metadata
+        assert "attempt_errors" not in worker.metadata
 
 
 class TestCheckpointDiscard:

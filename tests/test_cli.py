@@ -537,6 +537,23 @@ class TestCampaignCommand:
         assert "cache_hit" not in fresh["metadata"]
         assert env["result"]["stats"]["cache_hits"] == 0
 
+    def test_resume_rejects_zero_processes(self, capsys, tmp_path):
+        import os
+
+        from repro.service import CampaignJournal, read_journal
+
+        camp = str(tmp_path / "camp")
+        assert main(["campaign", self._spec(tmp_path), "--dir", camp]) == 0
+        capsys.readouterr()
+        # An unfinished variant, so the resume has work to launch.
+        jpath = os.path.join(camp, "journal.jsonl")
+        config = read_journal(jpath).variants[0]["config"]
+        with CampaignJournal.append_to(jpath) as journal:
+            journal.append("queued", variant=2, name="c", config=config)
+        rc = main(["campaign", "--resume", camp, "--processes", "0"])
+        assert rc == 2
+        assert "processes must be >= 1" in capsys.readouterr().err
+
     def test_resume_missing_dir_exits_2(self, capsys, tmp_path):
         rc = main(["campaign", "--resume", str(tmp_path / "nope")])
         assert rc == 2

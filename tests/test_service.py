@@ -452,11 +452,22 @@ class TestJournalResume:
         rows = run_campaign(
             [("v", _small()), ("w", _small(seed=5))],
             journal_path=journal_path,
-            journal_meta={"operator": "tests"},
+            retries=1,
         )
         assert all(r.error is None for r in rows)
         state = read_journal(journal_path)
-        assert state.meta["operator"] == "tests"
+        # The engine records its effective settings, defaults included.
+        assert state.meta["variants"] == 2
+        assert state.meta["processes"] == 1
+        assert state.meta["retries"] == 1
+        assert state.meta["timeout"] is None
+        assert state.meta["deadline"] is None
+        assert state.meta["deadline_grace"] == 2.0
+        assert state.meta["checkpoint_dir"] is None
+        assert state.meta["checkpoint_interval"] == 500
+        assert state.meta["cache_dir"] is None
+        assert state.meta["cache_verify"] is False
+        assert state.meta["backoff"] == RetryPolicy().to_dict()
         kinds = [r["type"] for r in state.records]
         assert kinds.count("queued") == 2
         assert kinds.count("leased") == 2
@@ -466,3 +477,68 @@ class TestJournalResume:
             state.records[0]["config"]
         )
         assert not state.unfinished
+
+    def _spy_engine(self, monkeypatch):
+        """Record the keywords resume_campaign hands the engine."""
+        import repro.service.runner as runner
+
+        seen = {}
+        engine = runner.run_service_campaign
+
+        def spy(items, **kwargs):
+            seen.update(kwargs)
+            return engine(items, **kwargs)
+
+        monkeypatch.setattr(runner, "run_service_campaign", spy)
+        return seen
+
+    def test_api_campaign_resumes_under_recorded_settings(
+        self, tmp_path, monkeypatch
+    ):
+        """A campaign started through the Python API records its settings
+        like the CLI does, so a resume keeps its cache, checkpoints,
+        retries and backoff instead of silently dropping them."""
+        from repro import api
+
+        journal_path = tmp_path / "journal.jsonl"
+        cache_dir = tmp_path / "cache"
+        checkpoint_dir = tmp_path / "checkpoints"
+        policy = RetryPolicy(base=0.01, maximum=0.5, seed=7)
+        api.campaign(
+            [("v", _small())],
+            journal_path=str(journal_path),
+            cache_dir=str(cache_dir),
+            checkpoint_dir=str(checkpoint_dir),
+            retries=2,
+            processes=2,
+            backoff=policy,
+        )
+        # A supervisor crash right after the enqueue phase: keep the
+        # header and the queued records only.
+        magic, header, *records = journal_path.read_text().splitlines(True)
+        queued = [r for r in records if json.loads(r)["type"] == "queued"]
+        journal_path.write_text("".join([magic, header] + queued))
+        seen = self._spy_engine(monkeypatch)
+        rows, stats = resume_campaign(str(journal_path))
+        assert rows[0].error is None
+        assert rows[0].metadata["cache_hit"] is True
+        assert stats["cache_hits"] == 1
+        assert seen["retries"] == 2
+        assert seen["processes"] == 2
+        assert seen["checkpoint_dir"] == str(checkpoint_dir)
+        assert seen["cache_dir"] == str(cache_dir)
+        assert seen["backoff"] == policy
+
+    def test_journal_without_settings_resumes_with_defaults(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "journal.jsonl"
+        with CampaignJournal.create(path, {"variants": 1}) as journal:
+            journal.append(
+                "queued", variant=0, name="v", config=config_to_dict(_small())
+            )
+        seen = self._spy_engine(monkeypatch)
+        rows, stats = resume_campaign(str(path))
+        assert rows[0].error is None
+        assert stats["attempts"] == 1
+        assert set(seen) == {"journal_path", "resume_state"}
